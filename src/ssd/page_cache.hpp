@@ -6,6 +6,10 @@
 // write-back. Writers throttle when dirty bytes exceed a high watermark
 // (Linux dirty_ratio behaviour) so sustained overload still observes device
 // speed -- this is what bounds the cached-I/O advantage in Fig. 4 / Fig. 7c.
+// The watermark check runs after the write's own bytes are counted, under the
+// same lock, and a throttled writer resumes once dirty bytes fall to the low
+// watermark. So a write larger than dirty_high_watermark always blocks, while
+// smaller writes pile up past it only while write-back lags behind them.
 //
 // Residency granularity is the extent. The hybrid slab manager always writes
 // whole extents (one per flushed slab or item run), so per-extent residency

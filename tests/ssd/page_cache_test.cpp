@@ -71,17 +71,30 @@ TEST_F(PageCacheTest, SyncDrainsDirtyBytes) {
 TEST_F(PageCacheTest, ThrottleEngagesAboveHighWatermark) {
   SsdDevice dev(SsdProfile::sata());
   PageCacheConfig cfg = small_config();
-  cfg.dirty_high_watermark = 64 << 10;
-  cfg.dirty_low_watermark = 32 << 10;
+  cfg.dirty_high_watermark = 32 << 10;
+  cfg.dirty_low_watermark = 16 << 10;
   PageCache cache(dev, cfg);
-  // Push several writes well past the watermark; at least one must block on
-  // write-back.
-  for (int i = 0; i < 8; ++i) {
-    const auto id = dev.allocate(64 << 10).value();
-    ASSERT_EQ(cache.write(id, 0, make_value(static_cast<std::uint64_t>(i), 64 << 10)),
+  // Each write is larger than the high watermark, and write() counts its own
+  // bytes and checks the watermark under one hold of the cache lock, so every
+  // write sees at least 64 KiB dirty and must block until write-back brings
+  // dirty bytes down to the low watermark -- however the flusher is
+  // scheduled. That write-back covers the writer's own extent: the flusher
+  // can pop it only once the waiting writer releases the lock, and dirty
+  // bytes fall only after the device write returns, so each write waits at
+  // least one full device write of 64 KiB.
+  constexpr int kWrites = 8;
+  constexpr std::size_t kBytes = 64 << 10;
+  for (int i = 0; i < kWrites; ++i) {
+    const auto id = dev.allocate(kBytes).value();
+    ASSERT_EQ(cache.write(id, 0, make_value(static_cast<std::uint64_t>(i), kBytes)),
               StatusCode::kOk);
   }
+  const auto floor_ns =
+      kWrites * sim::scaled(SsdProfile::sata().write_time(kBytes)).count();
   EXPECT_GT(cache.stats().throttled_ns, 0u);
+  EXPECT_GE(cache.stats().throttled_ns, static_cast<std::uint64_t>(floor_ns));
+  // Hysteresis: a throttled writer resumes only at the low watermark.
+  EXPECT_LE(cache.dirty_bytes(), cfg.dirty_low_watermark);
 }
 
 TEST_F(PageCacheTest, CachedWriteIsFasterThanDirect) {
