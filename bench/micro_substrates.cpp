@@ -1,12 +1,13 @@
 // google-benchmark micro suite over the substrates: slab allocator, hash
-// map, item formatting, Zipf generation, histogram recording, protocol
-// codecs and fabric round trips. These run with the time scale at 0 so they
-// measure *code* cost, not modelled device time (the fig benches measure
-// modelled time).
+// map, item formatting, SSD record checksums, Zipf generation, histogram
+// recording, protocol codecs and fabric round trips. These run with the time
+// scale at 0 so they measure *code* cost, not modelled device time (the fig
+// benches measure modelled time).
 #include <benchmark/benchmark.h>
 
 #include <vector>
 
+#include "common/hash.hpp"
 #include "common/histogram.hpp"
 #include "common/random.hpp"
 #include "common/sim_time.hpp"
@@ -57,6 +58,19 @@ void BM_ItemFormat(benchmark::State& state) {
                           static_cast<std::int64_t>(size));
 }
 BENCHMARK(BM_ItemFormat)->Arg(1024)->Arg(32768);
+
+// CRC32-C over the sizes the SSD path checksums: about one 32 KiB record
+// (32808 bytes) and one 1 MiB flush batch.
+void BM_Crc32c(benchmark::State& state) {
+  const auto size = static_cast<std::size_t>(state.range(0));
+  const auto data = make_value(2, size);
+  for (auto _ : state) {
+    benchmark::DoNotOptimize(crc32c(data.data(), data.size()));
+  }
+  state.SetBytesProcessed(static_cast<std::int64_t>(state.iterations()) *
+                          static_cast<std::int64_t>(size));
+}
+BENCHMARK(BM_Crc32c)->Arg(32808)->Arg(1048576);
 
 void BM_ZipfNext(benchmark::State& state) {
   ZipfGenerator zipf(static_cast<std::uint64_t>(state.range(0)), 0.99, 3);

@@ -4,6 +4,11 @@
 #include <bit>
 #include <cstring>
 
+#if defined(__x86_64__) && (defined(__GNUC__) || defined(__clang__))
+#include <nmmintrin.h>
+#define HYKV_CRC32C_SSE42 1
+#endif
+
 namespace hykv {
 namespace {
 
@@ -134,7 +139,10 @@ std::uint64_t fnv1a64(std::string_view data, std::uint64_t seed) noexcept {
   return hash;
 }
 
-std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) noexcept {
+namespace detail {
+
+std::uint32_t crc32c_portable(const void* data, std::size_t len,
+                              std::uint32_t seed) noexcept {
   const auto* p = static_cast<const unsigned char*>(data);
   std::uint32_t crc = ~seed;
   const auto& table = crc_table().entries;
@@ -142,6 +150,46 @@ std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) noex
     crc = table[(crc ^ p[i]) & 0xFFu] ^ (crc >> 8);
   }
   return ~crc;
+}
+
+#ifdef HYKV_CRC32C_SSE42
+// SSE4.2's CRC32 instruction computes the same reflected Castagnoli CRC as
+// the table loop, eight bytes per instruction. Compiled for SSE4.2 on its own
+// so the rest of the build needs no ISA flags; crc32c() calls it only after
+// the CPU reports the extension.
+__attribute__((target("sse4.2"))) std::uint32_t crc32c_hardware(
+    const void* data, std::size_t len, std::uint32_t seed) noexcept {
+  const auto* p = static_cast<const unsigned char*>(data);
+  std::uint64_t crc = ~seed;
+  for (; len >= 8; p += 8, len -= 8) {
+    crc = _mm_crc32_u64(crc, read_u64(p));
+  }
+  auto crc32 = static_cast<std::uint32_t>(crc);
+  for (; len > 0; ++p, --len) {
+    crc32 = _mm_crc32_u8(crc32, *p);
+  }
+  return ~crc32;
+}
+
+bool crc32c_hardware_available() noexcept {
+  static const bool available = __builtin_cpu_supports("sse4.2") != 0;
+  return available;
+}
+#else
+std::uint32_t crc32c_hardware(const void* data, std::size_t len,
+                              std::uint32_t seed) noexcept {
+  return crc32c_portable(data, len, seed);
+}
+
+bool crc32c_hardware_available() noexcept { return false; }
+#endif
+
+}  // namespace detail
+
+std::uint32_t crc32c(const void* data, std::size_t len, std::uint32_t seed) noexcept {
+  return detail::crc32c_hardware_available()
+             ? detail::crc32c_hardware(data, len, seed)
+             : detail::crc32c_portable(data, len, seed);
 }
 
 }  // namespace hykv

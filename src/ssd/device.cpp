@@ -3,6 +3,7 @@
 #include <atomic>
 #include <cstring>
 #include <memory>
+#include <utility>
 
 #include "common/hash.hpp"
 #include "common/sim_time.hpp"
@@ -18,12 +19,15 @@ SsdDevice::SsdDevice(SsdProfile profile) : profile_(std::move(profile)) {
 }
 
 Result<ExtentId> SsdDevice::allocate(std::size_t size) {
+  // Zero-fill the backing bytes before taking meta_mu_: every raw read and
+  // write, the flusher's stats update and free() wait on that lock.
+  std::vector<char> bytes(size);
   const MutexLock lock(meta_mu_);
   if (used_bytes_ + size > profile_.capacity_bytes) {
     return StatusCode::kOutOfMemory;
   }
   const ExtentId id = next_id_++;
-  extents_.emplace(id, std::vector<char>(size));
+  extents_.emplace(id, std::move(bytes));
   used_bytes_ += size;
   return id;
 }

@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <array>
+#include <cstring>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -178,6 +180,59 @@ TEST_F(HybridManagerTest, PromotionDisabledKeepsItemsOnSsd) {
   ASSERT_TRUE(get_matches(m, 0, kSize));
   EXPECT_EQ(m.stats().promotions, 0u);
   EXPECT_GE(m.stats().ssd_hits, 2u);
+}
+
+TEST_F(HybridManagerTest, CorruptedSsdRecordFailsChecksum) {
+  ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+  ManagerConfig cfg = base_config(StorageMode::kHybrid);
+  cfg.io_policy = IoPolicy::kDirectAll;  // GETs read the device, not a cache
+  HybridSlabManager m(cfg, &storage);
+  constexpr std::size_t kSize = 30 << 10;
+  constexpr std::uint64_t kCount = 120;
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    ASSERT_EQ(set(m, i, kSize), StatusCode::kOk) << i;
+  }
+  ASSERT_GT(m.stats().flushes, 0u);
+
+  // The first record of the first flushed extent (extent ids start at 1):
+  // read its SsdItemFraming header to find its key and value.
+  constexpr ssd::ExtentId kFirstExtent = 1;
+  auto& device = storage.device();
+  std::array<char, SsdItemFraming::kHeaderBytes> header{};
+  ASSERT_EQ(device.read_raw(kFirstExtent, 0, header), StatusCode::kOk);
+  std::uint32_t key_len = 0;
+  std::uint32_t value_len = 0;
+  std::memcpy(&key_len, header.data(), sizeof(key_len));
+  std::memcpy(&value_len, header.data() + 4, sizeof(value_len));
+  ASSERT_EQ(value_len, kSize);
+  std::string key(key_len, '\0');
+  ASSERT_EQ(device.read_raw(kFirstExtent, header.size(), key), StatusCode::kOk);
+  std::uint64_t victim = kCount;
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    if (make_key(i) == key) victim = i;
+  }
+  ASSERT_LT(victim, kCount) << "unknown key in extent: " << key;
+
+  // Flip one byte in the middle of the stored value.
+  const std::size_t flip_at = header.size() + key_len + value_len / 2;
+  std::array<char, 1> byte{};
+  ASSERT_EQ(device.read_raw(kFirstExtent, flip_at, byte), StatusCode::kOk);
+  byte[0] = static_cast<char>(byte[0] ^ 0x5A);
+  ASSERT_EQ(device.write_raw(kFirstExtent, flip_at, byte), StatusCode::kOk);
+
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  EXPECT_EQ(m.get(key, out, flags), StatusCode::kServerError);
+  EXPECT_EQ(m.stats().checksum_failures, 1u);
+
+  // Every other item, on SSD or in RAM, still reads back exactly.
+  for (std::uint64_t i = 0; i < kCount; ++i) {
+    if (i != victim) {
+      EXPECT_TRUE(get_matches(m, i, kSize)) << i;
+    }
+  }
+  EXPECT_GT(m.stats().ssd_hits, 0u);
+  EXPECT_EQ(m.stats().checksum_failures, 1u);
 }
 
 TEST_F(HybridManagerTest, DirectPolicyWritesDeviceSynchronously) {
