@@ -38,7 +38,7 @@ void PageCache::make_room_locked(std::size_t need) {
       if (victim.dirty == 0) {
         victim.resident = false;
         victim.in_lru = false;
-        resident_bytes_ -= victim.size;
+        resident_bytes_ -= victim.charge();
         ++stats_.evictions;
         lru_.erase(it);
         evicted = true;
@@ -71,6 +71,58 @@ void PageCache::charge_write_path(std::size_t offset, std::span<const char> data
   sim::advance(cost);
 }
 
+void PageCache::commit_write_locked(ExtentId id, Entry& entry,
+                                    std::size_t offset, std::size_t len) {
+  if (entry.punched_bytes > 0) {
+    // Storing into a hole allocates its pages again, partial pages included.
+    const std::size_t page = config_.host.page_bytes;
+    const std::size_t last =
+        std::min(entry.punched.size(), (offset + len + page - 1) / page);
+    for (std::size_t i = offset / page; i < last; ++i) {
+      if (!entry.punched[i]) continue;
+      entry.punched[i] = false;
+      entry.punched_bytes -= page;
+      if (entry.resident) resident_bytes_ += page;
+    }
+  }
+  if (offset == 0 && len == entry.size && !entry.resident) {
+    entry.resident = true;
+    resident_bytes_ += entry.charge();
+  }
+  if (entry.resident) touch_lru_locked(id, entry);
+  const bool was_clean = entry.dirty == 0;
+  entry.dirty += len;
+  dirty_bytes_ += len;
+  if (was_clean) dirty_fifo_.push_back(id);
+  make_room_locked(0);
+  dirty_cv_.notify_one();
+
+  if (dirty_bytes_ > config_.dirty_high_watermark) {
+    const auto start = sim::now();
+    clean_cv_.wait(mu_, [&]() REQUIRES(mu_) {
+      return stop_ || dirty_bytes_ <= config_.dirty_low_watermark;
+    });
+    stats_.throttled_ns +=
+        static_cast<std::uint64_t>((sim::now() - start).count());
+  }
+}
+
+void PageCache::zero_punched_locked(const Entry& entry, std::size_t offset,
+                                    std::span<char> out) const {
+  if (entry.punched_bytes == 0) return;
+  const std::size_t page = config_.host.page_bytes;
+  const std::size_t end = offset + out.size();
+  const std::size_t last =
+      std::min(entry.punched.size(), (end + page - 1) / page);
+  for (std::size_t i = offset / page; i < last; ++i) {
+    if (!entry.punched[i]) continue;
+    const std::size_t from = std::max(offset, i * page);
+    const std::size_t to = std::min(end, (i + 1) * page);
+    std::fill(out.begin() + static_cast<std::ptrdiff_t>(from - offset),
+              out.begin() + static_cast<std::ptrdiff_t>(to - offset), '\0');
+  }
+}
+
 StatusCode PageCache::write(ExtentId id, std::size_t offset,
                             std::span<const char> data) {
   charge_write_path(offset, data, id, /*via_mmap=*/false);
@@ -84,26 +136,7 @@ StatusCode PageCache::write(ExtentId id, std::size_t offset,
   const MutexLock lock(mu_);
   Entry& entry = entries_[id];
   entry.size = device_.extent_size(id);
-  if (offset == 0 && data.size() == entry.size && !entry.resident) {
-    entry.resident = true;
-    resident_bytes_ += entry.size;
-  }
-  if (entry.resident) touch_lru_locked(id, entry);
-  const bool was_clean = entry.dirty == 0;
-  entry.dirty += data.size();
-  dirty_bytes_ += data.size();
-  if (was_clean) dirty_fifo_.push_back(id);
-  make_room_locked(0);
-  dirty_cv_.notify_one();
-
-  if (dirty_bytes_ > config_.dirty_high_watermark) {
-    const auto start = sim::now();
-    clean_cv_.wait(mu_, [&]() REQUIRES(mu_) {
-      return stop_ || dirty_bytes_ <= config_.dirty_low_watermark;
-    });
-    stats_.throttled_ns +=
-        static_cast<std::uint64_t>((sim::now() - start).count());
-  }
+  commit_write_locked(id, entry, offset, data.size());
   return StatusCode::kOk;
 }
 
@@ -120,35 +153,18 @@ StatusCode PageCache::mmap_write(ExtentId id, std::size_t offset,
   Entry& entry = entries_[id];
   entry.size = device_.extent_size(id);
   entry.mmap_mapped = true;
-  if (offset == 0 && data.size() == entry.size && !entry.resident) {
-    entry.resident = true;
-    resident_bytes_ += entry.size;
-  }
-  if (entry.resident) touch_lru_locked(id, entry);
-  const bool was_clean = entry.dirty == 0;
-  entry.dirty += data.size();
-  dirty_bytes_ += data.size();
-  if (was_clean) dirty_fifo_.push_back(id);
-  make_room_locked(0);
-  dirty_cv_.notify_one();
-
-  if (dirty_bytes_ > config_.dirty_high_watermark) {
-    const auto start = sim::now();
-    clean_cv_.wait(mu_, [&]() REQUIRES(mu_) {
-      return stop_ || dirty_bytes_ <= config_.dirty_low_watermark;
-    });
-    stats_.throttled_ns +=
-        static_cast<std::uint64_t>((sim::now() - start).count());
-  }
+  commit_write_locked(id, entry, offset, data.size());
   return StatusCode::kOk;
 }
 
 StatusCode PageCache::read(ExtentId id, std::size_t offset, std::span<char> out) {
   bool hit;
+  bool holes;
   {
     const MutexLock lock(mu_);
     auto it = entries_.find(id);
     hit = it != entries_.end() && it->second.resident;
+    holes = it != entries_.end() && it->second.punched_bytes > 0;
     if (hit) {
       touch_lru_locked(id, it->second);
       ++stats_.hits;
@@ -158,7 +174,14 @@ StatusCode PageCache::read(ExtentId id, std::size_t offset, std::span<char> out)
   }
   if (hit) {
     sim::advance(config_.host.syscall_overhead + config_.host.copy_time(out.size()));
-    return device_.read_raw(id, offset, out);
+    const StatusCode code = device_.read_raw(id, offset, out);
+    if (holes && ok(code)) {
+      const MutexLock lock(mu_);
+      if (auto it = entries_.find(id); it != entries_.end()) {
+        zero_punched_locked(it->second, offset, out);
+      }
+    }
+    return code;
   }
   sim::advance(config_.host.syscall_overhead);
   // Cache miss: a real device read -- transient errors apply (hits above are
@@ -170,9 +193,10 @@ StatusCode PageCache::read(ExtentId id, std::size_t offset, std::span<char> out)
   const MutexLock lock(mu_);
   Entry& entry = entries_[id];
   entry.size = device_.extent_size(id);
+  zero_punched_locked(entry, offset, out);
   if (offset == 0 && out.size() == entry.size && !entry.resident) {
     entry.resident = true;
-    resident_bytes_ += entry.size;
+    resident_bytes_ += entry.charge();
     touch_lru_locked(id, entry);
     make_room_locked(0);
   }
@@ -198,11 +222,13 @@ StatusCode PageCache::mmap_read(ExtentId id, std::size_t offset,
   if (hit) {
     sim::advance(config_.host.copy_time(out.size()) +
                  (first_map ? config_.host.mmap_setup : sim::Nanos{0}));
-    {
-      const MutexLock relock(mu_);
-      entries_[id].mmap_mapped = true;
+    const StatusCode code = device_.read_raw(id, offset, out);
+    const MutexLock relock(mu_);
+    if (auto it = entries_.find(id); it != entries_.end()) {
+      it->second.mmap_mapped = true;
+      if (ok(code)) zero_punched_locked(it->second, offset, out);
     }
-    return device_.read_raw(id, offset, out);
+    return code;
   }
   // Major fault: device read for the touched pages.
   if (first_map) sim::advance(config_.host.mmap_setup);
@@ -214,9 +240,10 @@ StatusCode PageCache::mmap_read(ExtentId id, std::size_t offset,
   Entry& entry = entries_[id];
   entry.size = device_.extent_size(id);
   entry.mmap_mapped = true;
+  zero_punched_locked(entry, offset, out);
   if (offset == 0 && out.size() == entry.size && !entry.resident) {
     entry.resident = true;
-    resident_bytes_ += entry.size;
+    resident_bytes_ += entry.charge();
     touch_lru_locked(id, entry);
     make_room_locked(0);
   }
@@ -234,10 +261,32 @@ void PageCache::invalidate(ExtentId id) {
     clean_cv_.notify_all();
   }
   if (entry.resident) {
-    resident_bytes_ -= entry.size;
+    resident_bytes_ -= entry.charge();
     if (entry.in_lru) lru_.erase(entry.lru_pos);
   }
   entries_.erase(it);
+}
+
+void PageCache::punch(ExtentId id, std::size_t offset, std::size_t len) {
+  sim::advance(config_.host.syscall_overhead);
+  const MutexLock lock(mu_);
+  auto it = entries_.find(id);
+  if (it == entries_.end()) return;
+  Entry& entry = it->second;
+  // Whole pages only: the range rounds inward, and the extent's partial last
+  // page is never released.
+  const std::size_t page = config_.host.page_bytes;
+  const std::size_t first = (offset + page - 1) / page;
+  const std::size_t last = std::min(offset + len, entry.size) / page;
+  if (first >= last) return;
+  if (entry.punched.empty()) entry.punched.resize(entry.size / page);
+  for (std::size_t i = first; i < last; ++i) {
+    if (entry.punched[i]) continue;
+    entry.punched[i] = true;
+    entry.punched_bytes += page;
+    stats_.punched_bytes += page;
+    if (entry.resident) resident_bytes_ -= page;
+  }
 }
 
 void PageCache::sync() {
@@ -254,6 +303,11 @@ bool PageCache::resident(ExtentId id) const {
 std::size_t PageCache::dirty_bytes() const {
   const MutexLock lock(mu_);
   return dirty_bytes_;
+}
+
+std::size_t PageCache::resident_bytes() const {
+  const MutexLock lock(mu_);
+  return resident_bytes_;
 }
 
 PageCacheStats PageCache::stats() const {

@@ -23,6 +23,7 @@
 #include <span>
 #include <thread>
 #include <unordered_map>
+#include <vector>
 
 #include "common/mutex.hpp"
 #include "common/profiles.hpp"
@@ -45,6 +46,7 @@ struct PageCacheStats {
   std::uint64_t writeback_bytes = 0;
   std::uint64_t throttled_ns = 0;  ///< Writer time spent blocked on dirty limit.
   std::uint64_t evictions = 0;
+  std::uint64_t punched_bytes = 0;  ///< Page bytes released by punch().
 };
 
 class PageCache {
@@ -75,6 +77,11 @@ class PageCache {
   StatusCode mmap_read(ExtentId id, std::size_t offset, std::span<char> out)
       EXCLUDES(mu_);
 
+  /// Hole punch: one syscall; releases the whole pages inside
+  /// [offset, offset + len) from the extent's resident charge. Safe on an
+  /// extent the cache has never seen (nothing to release).
+  void punch(ExtentId id, std::size_t offset, std::size_t len) EXCLUDES(mu_);
+
   /// Drops cache state for a freed extent (dirty data is discarded -- caller
   /// owns the decision, mirroring unlink() of a dirty file).
   void invalidate(ExtentId id) EXCLUDES(mu_);
@@ -84,6 +91,8 @@ class PageCache {
 
   [[nodiscard]] bool resident(ExtentId id) const EXCLUDES(mu_);
   [[nodiscard]] std::size_t dirty_bytes() const EXCLUDES(mu_);
+  /// Bytes charged against memory_limit by resident extents.
+  [[nodiscard]] std::size_t resident_bytes() const EXCLUDES(mu_);
   [[nodiscard]] PageCacheStats stats() const EXCLUDES(mu_);
   [[nodiscard]] const PageCacheConfig& config() const noexcept { return config_; }
 
@@ -95,6 +104,11 @@ class PageCache {
     bool mmap_mapped = false;    ///< First mmap touch already charged.
     std::list<ExtentId>::iterator lru_pos;
     bool in_lru = false;
+    std::vector<bool> punched;   ///< Per page; empty until the first punch.
+    std::size_t punched_bytes = 0;
+
+    /// What a resident extent costs against memory_limit.
+    [[nodiscard]] std::size_t charge() const noexcept { return size - punched_bytes; }
   };
 
   void flusher_main() EXCLUDES(mu_);
@@ -102,6 +116,13 @@ class PageCache {
                          ExtentId id, bool via_mmap) EXCLUDES(mu_);
   void make_room_locked(std::size_t need) REQUIRES(mu_);
   void touch_lru_locked(ExtentId id, Entry& entry) REQUIRES(mu_);
+  /// Shared tail of write()/mmap_write(): re-populates punched pages the
+  /// write covers, claims residency, queues the dirty bytes and throttles.
+  void commit_write_locked(ExtentId id, Entry& entry, std::size_t offset,
+                           std::size_t len) REQUIRES(mu_);
+  /// Zeroes the bytes of `out` (read at `offset`) that fall on punched pages.
+  void zero_punched_locked(const Entry& entry, std::size_t offset,
+                           std::span<char> out) const REQUIRES(mu_);
 
   SsdDevice& device_;
   PageCacheConfig config_;

@@ -58,6 +58,18 @@ HybridSlabManager::ExtentHandle::~ExtentHandle() {
   }
 }
 
+HybridSlabManager::SsdRecord::~SsdRecord() {
+  // An extent this record alone still pins is invalidated whole right after
+  // (~ExtentHandle), so punching it first would only cost a syscall.
+  if (extent == nullptr || scheme == ssd::IoScheme::kDirect ||
+      extent.use_count() == 1) {
+    return;
+  }
+  extent->storage->cache().punch(
+      extent->id, record_offset,
+      SsdItemFraming::record_size(key_len, value_len));
+}
+
 HybridSlabManager::HybridSlabManager(ManagerConfig config,
                                      ssd::StorageStack* storage)
     : config_(config), storage_(storage), slabs_(config.slab) {
@@ -628,6 +640,10 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
   }
   flags = record->flags;
   charge_check();  // SSD load is part of "Cache Check and Load"
+  // The value is already copied out: verify it before re-taking the lock.
+  const bool crc_ok =
+      ok(code) && crc32c(static_cast<const void*>(out.data()), out.size()) ==
+                      record->value_crc;
 
   lock.lock();
   if (!ok(code)) {
@@ -641,7 +657,7 @@ StatusCode HybridSlabManager::get_locked(std::string_view key,
     return StatusCode::kServerError;
   }
   consecutive_io_errors_ = 0;  // a served read breaks the failure streak
-  if (crc32c(static_cast<const void*>(out.data()), out.size()) != record->value_crc) {
+  if (!crc_ok) {
     ++stats_.checksum_failures;
     ++stats_.misses;
     return StatusCode::kServerError;

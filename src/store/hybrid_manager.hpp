@@ -151,6 +151,9 @@ struct ManagerStats {
 
 class HybridSlabManager {
  public:
+  /// Test-only access to private state (defined by the store tests).
+  friend struct HybridSlabManagerTestPeer;
+
   /// `storage` must outlive the manager; may be nullptr iff mode==kInMemory.
   HybridSlabManager(ManagerConfig config, ssd::StorageStack* storage);
   ~HybridSlabManager();
@@ -252,7 +255,17 @@ class HybridSlabManager {
     ~ExtentHandle();
   };
 
+  /// One flushed item. When the last reference drops (displacement,
+  /// promotion, delete or expiry, after every reader that pinned it is done)
+  /// a page-cache-backed record punches its byte range out of the cache, so
+  /// a sparse extent is charged only its live pages. Direct-I/O records
+  /// never touch the cache and never punch.
   struct SsdRecord {
+    SsdRecord() = default;
+    SsdRecord(const SsdRecord&) = delete;
+    SsdRecord& operator=(const SsdRecord&) = delete;
+    ~SsdRecord();
+
     std::shared_ptr<ExtentHandle> extent;
     std::uint32_t record_offset = 0;  ///< Offset of the framed record.
     std::uint32_t key_len = 0;

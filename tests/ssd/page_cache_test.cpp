@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <span>
 #include <vector>
 
 #include "common/random.hpp"
@@ -198,6 +200,138 @@ TEST_F(PageCacheTest, PartialWriteDoesNotClaimResidency) {
   const auto id = dev.allocate(8192).value();
   ASSERT_EQ(cache.write(id, 0, make_value(7, 100)), StatusCode::kOk);
   EXPECT_FALSE(cache.resident(id));
+}
+
+TEST_F(PageCacheTest, PunchReleasesWholePagesOnly) {
+  SsdDevice dev(SsdProfile::sata());
+  PageCache cache(dev, small_config());
+  // 16 whole pages plus a 100-byte partial last page.
+  const std::size_t size = (64 << 10) + 100;
+  const auto id = dev.allocate(size).value();
+  ASSERT_EQ(cache.write(id, 0, make_value(8, size)), StatusCode::kOk);
+  ASSERT_EQ(cache.resident_bytes(), size);
+
+  cache.punch(id, 100, 4096);  // inside pages 0-1 but covers neither whole
+  EXPECT_EQ(cache.stats().punched_bytes, 0u);
+  cache.punch(id, 1000, 3 * 4096);  // rounds inward to pages 1 and 2
+  EXPECT_EQ(cache.stats().punched_bytes, 2u * 4096);
+  EXPECT_EQ(cache.resident_bytes(), size - 2 * 4096);
+  cache.punch(id, 4096, 2 * 4096);  // the same pages again: nothing new
+  EXPECT_EQ(cache.stats().punched_bytes, 2u * 4096);
+  cache.punch(id, 60 << 10, 1 << 20);  // page 15; the partial page stays
+  EXPECT_EQ(cache.stats().punched_bytes, 3u * 4096);
+  EXPECT_EQ(cache.resident_bytes(), size - 3 * 4096);
+  EXPECT_TRUE(cache.resident(id));
+}
+
+TEST_F(PageCacheTest, PunchedPagesReadAsZerosUntilRewritten) {
+  SsdDevice dev(SsdProfile::sata());
+  PageCache cache(dev, small_config());
+  const std::size_t size = 16 << 10;
+  const auto id = dev.allocate(size).value();
+  const auto payload = make_value(9, size);
+  ASSERT_EQ(cache.mmap_write(id, 0, payload), StatusCode::kOk);
+  cache.punch(id, 4096, 4096);
+
+  std::vector<char> out(size);
+  ASSERT_EQ(cache.read(id, 0, out), StatusCode::kOk);
+  auto expected = payload;
+  std::fill(expected.begin() + 4096, expected.begin() + 8192, '\0');
+  EXPECT_EQ(out, expected);
+  ASSERT_EQ(cache.mmap_read(id, 0, out), StatusCode::kOk);
+  EXPECT_EQ(out, expected);
+
+  // A store into the hole allocates the page again, and charges it again.
+  const std::span<const char> page(payload.data() + 4096, 4096);
+  ASSERT_EQ(cache.write(id, 4096, page), StatusCode::kOk);
+  EXPECT_EQ(cache.resident_bytes(), size);
+  ASSERT_EQ(cache.read(id, 0, out), StatusCode::kOk);
+  EXPECT_EQ(out, payload);
+}
+
+TEST_F(PageCacheTest, PunchedSparseExtentSurvivesEviction) {
+  // Three extents; `sparse` is written first, so it is the LRU victim. At
+  // full size the three overflow the limit; with all but one page of
+  // `sparse` punched they fit.
+  const auto sparse_survives = [](bool punch) {
+    SsdDevice dev(SsdProfile::sata());
+    PageCacheConfig cfg;
+    cfg.memory_limit = 128 << 10;
+    PageCache cache(dev, cfg);
+    const auto sparse = dev.allocate(64 << 10).value();
+    EXPECT_EQ(cache.write(sparse, 0, make_value(1, 64 << 10)), StatusCode::kOk);
+    cache.sync();  // clean, so evictable
+    if (punch) cache.punch(sparse, 4096, 60 << 10);
+    const auto full = dev.allocate(64 << 10).value();
+    EXPECT_EQ(cache.write(full, 0, make_value(2, 64 << 10)), StatusCode::kOk);
+    cache.sync();
+    const auto tail = dev.allocate(56 << 10).value();
+    EXPECT_EQ(cache.write(tail, 0, make_value(3, 56 << 10)), StatusCode::kOk);
+    cache.sync();
+    EXPECT_TRUE(cache.resident(full));
+    EXPECT_TRUE(cache.resident(tail));
+    return cache.resident(sparse);
+  };
+  EXPECT_FALSE(sparse_survives(/*punch=*/false));
+  EXPECT_TRUE(sparse_survives(/*punch=*/true));
+}
+
+TEST_F(PageCacheTest, PunchThenInvalidateLeavesNothingResident) {
+  SsdDevice dev(SsdProfile::sata());
+  PageCacheConfig cfg = small_config();
+  cfg.memory_limit = 96 << 10;  // forces an eviction among the four below
+  PageCache cache(dev, cfg);
+  std::vector<ExtentId> ids;
+  for (int i = 0; i < 4; ++i) {
+    const std::size_t size = (32 << 10) + static_cast<std::size_t>(i) * 1000;
+    const auto id = dev.allocate(size).value();
+    ids.push_back(id);
+    ASSERT_EQ(cache.mmap_write(id, 0, make_value(static_cast<std::uint64_t>(i), size)),
+              StatusCode::kOk);
+    if (i != 3) cache.sync();  // the last extent stays dirty
+    cache.punch(id, static_cast<std::size_t>(i) * 3000, 12 << 10);
+  }
+  EXPECT_GT(cache.stats().evictions, 0u);
+  EXPECT_GT(cache.stats().punched_bytes, 0u);
+  cache.punch(ids.front(), 0, 32 << 10);  // punching an evicted extent
+  for (const auto id : ids) cache.invalidate(id);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+}
+
+TEST_F(PageCacheTest, PunchBeforeFirstWriteAndOnUnknownIdIsSafe) {
+  SsdDevice dev(SsdProfile::sata());
+  PageCache cache(dev, small_config());
+  cache.punch(12345, 0, 1 << 20);  // no such extent
+  const std::size_t size = 32 << 10;
+  const auto id = dev.allocate(size).value();
+  cache.punch(id, 0, size);  // allocated, never written through the cache
+  EXPECT_EQ(cache.stats().punched_bytes, 0u);
+  EXPECT_EQ(cache.resident_bytes(), 0u);
+
+  const auto payload = make_value(10, size);
+  ASSERT_EQ(cache.write(id, 0, payload), StatusCode::kOk);
+  EXPECT_EQ(cache.resident_bytes(), size);  // charged in full
+  std::vector<char> out(size);
+  ASSERT_EQ(cache.read(id, 0, out), StatusCode::kOk);
+  EXPECT_EQ(out, payload);  // no hole was recorded
+}
+
+TEST_F(PageCacheTest, PunchLeavesDirtyAndWritebackAccountingAlone) {
+  SsdDevice dev(SsdProfile::sata());
+  PageCache cache(dev, small_config());
+  const std::size_t size = 64 << 10;
+  const auto id = dev.allocate(size).value();
+  ASSERT_EQ(cache.write(id, 0, make_value(11, size)), StatusCode::kOk);
+  const std::size_t dirty = cache.dirty_bytes();
+  const std::uint64_t written_back = cache.stats().writeback_bytes;
+  ASSERT_EQ(dirty + written_back, size);  // split depends on the flusher
+  cache.punch(id, 0, size / 2);
+  EXPECT_EQ(cache.dirty_bytes() + cache.stats().writeback_bytes, size);
+  cache.sync();
+  cache.punch(id, size / 2, size / 2);
+  EXPECT_EQ(cache.dirty_bytes(), 0u);
+  EXPECT_EQ(cache.stats().writeback_bytes, size);  // every written byte, once
+  EXPECT_EQ(cache.stats().punched_bytes, size);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <array>
 #include <cstring>
+#include <memory>
 #include <string>
 #include <thread>
 #include <unordered_map>
@@ -13,6 +14,18 @@
 #include "common/sim_time.hpp"
 
 namespace hykv::store {
+
+/// Reaches the index entry of a key, as the GET path does when it pins an
+/// SSD record before dropping the shard lock.
+struct HybridSlabManagerTestPeer {
+  static std::shared_ptr<void> pin_ssd_record(HybridSlabManager& m,
+                                              std::string_view key) {
+    const MutexLock lock(m.mu_);
+    const HybridSlabManager::Entry* entry = m.index_.find(key);
+    return entry != nullptr ? entry->ssd : nullptr;
+  }
+};
+
 namespace {
 
 ssd::PageCacheConfig test_cache() {
@@ -462,6 +475,123 @@ TEST_F(HybridManagerTest, FailedFlushRollsBackCountersExactly) {
   EXPECT_GT(healed.flushes, 0u);
   EXPECT_EQ(healed.flushed_items * (8u << 10) <= healed.flushed_bytes, true);
   EXPECT_GT(healed.ssd_live_bytes, 0u);
+}
+
+// Overwrites, deletes and promotions leave every flushed extent mostly dead.
+// Dead records are punched out of the page cache, so a cache too small for
+// every extent still holds every live record: no SSD hit reads the device.
+TEST_F(HybridManagerTest, PunchKeepsLiveRecordsCachedUnderChurn) {
+  ssd::PageCacheConfig cache_cfg = test_cache();
+  // The cache charge of the live records peaks near 5 MiB; the extents
+  // holding them take more than 7 MiB of device space by the end.
+  cache_cfg.memory_limit = std::size_t{6} << 20;
+  ssd::StorageStack storage(SsdProfile::sata(), cache_cfg);
+  ManagerConfig cfg = base_config(StorageMode::kHybrid);
+  cfg.io_policy = IoPolicy::kAdaptive;  // 30 KiB items flush via mmap I/O
+  HybridSlabManager m(cfg, &storage);
+  constexpr std::size_t kSize = 30 << 10;
+  constexpr std::uint64_t kKeys = 200;  // ~6 MB of values into 2 MB RAM
+  std::vector<std::uint64_t> seed(kKeys);
+  std::vector<bool> present(kKeys, true);
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    seed[k] = k;
+    ASSERT_EQ(m.set(make_key(k), make_value(k, kSize), 0, 0), StatusCode::kOk);
+  }
+  Rng rng(11);
+  std::vector<char> out;
+  std::uint32_t flags = 0;
+  for (int op = 0; op < 3000; ++op) {
+    const std::uint64_t k = rng.next_below(kKeys);
+    switch (rng.next_below(10)) {
+      case 0:
+      case 1:  // overwrite (or re-insert a deleted key)
+        seed[k] = rng.next();
+        ASSERT_EQ(m.set(make_key(k), make_value(seed[k], kSize), 0, 0),
+                  StatusCode::kOk);
+        present[k] = true;
+        break;
+      case 2:  // delete: frees a RAM chunk a later SSD hit is promoted into
+        EXPECT_EQ(ok(m.del(make_key(k))), present[k]) << k;
+        present[k] = false;
+        break;
+      default:
+        if (present[k]) {
+          ASSERT_EQ(m.get(make_key(k), out, flags), StatusCode::kOk) << k;
+          ASSERT_EQ(out, make_value(seed[k], kSize)) << k;
+        } else {
+          ASSERT_EQ(m.get(make_key(k), out, flags), StatusCode::kNotFound) << k;
+        }
+        break;
+    }
+  }
+  for (std::uint64_t k = 0; k < kKeys; ++k) {
+    if (!present[k]) continue;
+    ASSERT_EQ(m.get(make_key(k), out, flags), StatusCode::kOk) << k;
+    ASSERT_EQ(out, make_value(seed[k], kSize)) << k;
+  }
+  const ManagerStats stats = m.stats();
+  const ssd::PageCacheStats cache = storage.cache().stats();
+  // The premise: the extents on the device do not all fit in the cache.
+  EXPECT_GT(storage.device().used_bytes(), cache_cfg.memory_limit);
+  EXPECT_GT(stats.promotions, 0u);
+  EXPECT_GT(stats.ssd_hits, 0u);
+  EXPECT_GT(cache.punched_bytes, 0u);
+  EXPECT_EQ(cache.misses, 0u);
+  EXPECT_EQ(stats.checksum_failures, 0u);
+}
+
+// A reader that pinned a record (the GET path holds a shared_ptr copy while
+// it reads with the shard lock dropped) keeps its bytes in the cache until it
+// lets go, even after the key is deleted. The key count stays below the
+// index's growth threshold: a growth would leave a copy of every entry in the
+// retired table until epoch reclamation, delaying every punch the same way.
+TEST_F(HybridManagerTest, PinnedRecordPunchesOnlyAfterRelease) {
+  ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+  ManagerConfig cfg = base_config(StorageMode::kHybrid);
+  cfg.io_policy = IoPolicy::kAdaptive;
+  HybridSlabManager m(cfg, &storage);
+  constexpr std::size_t kSize = 30 << 10;
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    ASSERT_EQ(set(m, i, kSize), StatusCode::kOk);
+  }
+  const std::string key = make_key(0);  // the coldest key: flushed first
+  std::shared_ptr<void> pin = HybridSlabManagerTestPeer::pin_ssd_record(m, key);
+  ASSERT_NE(pin, nullptr) << "key 0 should live on the SSD";
+  const std::uint64_t before = storage.cache().stats().punched_bytes;
+
+  ASSERT_EQ(m.del(key), StatusCode::kOk);
+  EXPECT_EQ(storage.cache().stats().punched_bytes, before)
+      << "punched while a reader still pinned the record";
+
+  pin.reset();
+  // A 30 KiB record spans at least six whole 4 KiB pages.
+  EXPECT_GE(storage.cache().stats().punched_bytes, before + 6 * 4096);
+  // Its extent-mates are untouched and still read back exactly.
+  for (std::uint64_t i = 1; i < 120; ++i) {
+    ASSERT_TRUE(get_matches(m, i, kSize)) << i;
+  }
+  EXPECT_EQ(m.stats().checksum_failures, 0u);
+}
+
+// H-RDMA-Def flushes with direct I/O, which bypasses the page cache: there is
+// nothing to punch, and its modelled costs stay as they were.
+TEST_F(HybridManagerTest, DirectIoNeverPunches) {
+  ssd::StorageStack storage(SsdProfile::sata(), test_cache());
+  ManagerConfig cfg = base_config(StorageMode::kHybrid);
+  cfg.io_policy = IoPolicy::kDirectAll;
+  HybridSlabManager m(cfg, &storage);
+  constexpr std::size_t kSize = 30 << 10;
+  for (std::uint64_t i = 0; i < 120; ++i) {
+    ASSERT_EQ(set(m, i, kSize), StatusCode::kOk);
+  }
+  for (std::uint64_t i = 0; i < 120; i += 2) {
+    ASSERT_EQ(m.del(make_key(i)), StatusCode::kOk);  // kills SSD records
+  }
+  for (std::uint64_t i = 1; i < 120; i += 2) {
+    ASSERT_TRUE(get_matches(m, i, kSize)) << i;  // SSD hits promote
+  }
+  ASSERT_GT(m.stats().flushes, 0u);
+  EXPECT_EQ(storage.cache().stats().punched_bytes, 0u);
 }
 
 }  // namespace
